@@ -117,15 +117,21 @@ def beam_mode_agreement(
 
 def rank_correlation(ours: Sequence[float], reference: Sequence[float]) -> float:
     """Spearman rank correlation — used to score how well our Table I /
-    Figure 5 orderings track the paper's published columns."""
+    Figure 5 orderings track the paper's published columns.  Tied values
+    share the average of their ranks."""
     if len(ours) != len(reference) or len(ours) < 3:
         raise ConfigurationError("need two equal series of length >= 3")
-    try:
-        from scipy.stats import spearmanr
+    return float(np.corrcoef(_average_ranks(ours), _average_ranks(reference))[0, 1])
 
-        rho = spearmanr(ours, reference).statistic
-        return float(rho)
-    except ImportError:  # pragma: no cover - scipy is present in CI
-        a = np.argsort(np.argsort(ours)).astype(float)
-        b = np.argsort(np.argsort(reference)).astype(float)
-        return float(np.corrcoef(a, b)[0, 1])
+
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks of ``values``; each run of ties gets its mean rank."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    boundary = np.r_[True, ordered[1:] != ordered[:-1]]  # a run of ties starts
+    starts = np.flatnonzero(boundary)
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(boundary) - 1]
+    return ranks

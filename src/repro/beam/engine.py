@@ -65,7 +65,6 @@ class BeamEngine:
         on_crash: str = "due",
         replay: Optional[bool] = None,
         snapshots_per_run: int = 16,
-        batch_eval: Optional[bool] = None,
     ) -> None:
         self.device = device
         self.workload = workload
@@ -76,9 +75,6 @@ class BeamEngine:
         self.sandbox = InjectionSandbox(on_crash)
         self.replay_enabled = True if replay is None else bool(replay)
         self.snapshots_per_run = snapshots_per_run
-        #: accepted for policy-threading symmetry: beam strikes are evaluated
-        #: one at a time (no chunk to batch), so the knob has no effect here
-        self.batch_eval = True if batch_eval is None else bool(batch_eval)
         self._golden: Optional[KernelRun] = None
         self._session: Optional[ReplaySession] = None
 

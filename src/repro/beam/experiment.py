@@ -47,7 +47,6 @@ from repro.faultsim.uncore import UNCORE_EXCEPTIONS
 from repro.sim.exceptions import EccDoubleBitError
 from repro.store.policy import (
     RunPolicy,
-    batch_eval_setting,
     replay_setting,
     resolve_on_crash,
     resolve_policy,
@@ -180,13 +179,11 @@ class BeamExperiment:
         self.on_crash = resolve_on_crash(on_crash, self.policy)
         self.replay_enabled = replay_setting(self.policy)
         self.snapshots_per_run = snapshots_setting(self.policy)
-        self.batch_eval = batch_eval_setting(self.policy)
 
     def exposure(self, workload: Workload, ecc: EccMode) -> Tuple[BeamEngine, ExposureProfile]:
         engine = BeamEngine(
             self.device, workload, self.catalog, ecc, on_crash=self.on_crash,
             replay=self.replay_enabled, snapshots_per_run=self.snapshots_per_run,
-            batch_eval=self.batch_eval,
         )
         profile = compute_exposure(self.device, workload, engine.golden, self.catalog)
         return engine, profile
@@ -256,7 +253,6 @@ class BeamExperiment:
             on_crash=self.on_crash,
             replay=self.replay_enabled,
             snapshots_per_run=self.snapshots_per_run,
-            batch_eval=self.batch_eval,
         )
         # reuse this experiment's engine (golden already computed for the
         # exposure profile) in the serial path and fork-spawned children

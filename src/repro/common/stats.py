@@ -10,38 +10,103 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
-
-# scipy is available in this environment; chi2 gives the exact ("garwood")
-# Poisson interval.  Fall back to the normal approximation if scipy is absent
-# so the core library still imports with NumPy alone.
-try:  # pragma: no cover - import guard
-    from scipy.stats import chi2 as _chi2
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover
-    _HAVE_SCIPY = False
 
 
 def poisson_ci(count: float, confidence: float = 0.95) -> Tuple[float, float]:
-    """Exact two-sided confidence interval for a Poisson mean.
+    """Exact (Garwood) two-sided confidence interval for a Poisson mean.
 
     Returns the (lower, upper) bounds on the expected count given an observed
-    ``count``.  For count == 0 the lower bound is 0.
+    ``count``: the ``alpha/2`` quantile of Gamma(count) and the
+    ``1 - alpha/2`` quantile of Gamma(count + 1), i.e. ``chi2.ppf`` at 2n and
+    2n + 2 degrees of freedom, halved.  ``count`` may be real-valued (thinned
+    beam counts are); for count == 0 the lower bound is 0.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     alpha = 1.0 - confidence
     if not 0 < alpha < 1:
         raise ValueError("confidence must be in (0, 1)")
-    if _HAVE_SCIPY:
-        lower = 0.0 if count == 0 else float(_chi2.ppf(alpha / 2.0, 2.0 * count) / 2.0)
-        upper = float(_chi2.ppf(1.0 - alpha / 2.0, 2.0 * count + 2.0) / 2.0)
-        return lower, upper
-    # Normal approximation with a continuity floor; adequate for count >~ 10.
-    z = _z_value(confidence)
-    half = z * math.sqrt(max(count, 1.0))
-    return max(0.0, count - half), count + half + 1.0
+    lower = 0.0 if count == 0 else _gamma_quantile(count, alpha / 2.0)
+    upper = _gamma_quantile(count + 1.0, 1.0 - alpha / 2.0)
+    return lower, upper
+
+
+def _regularized_gamma_p(a: float, x: float) -> float:
+    """P(a, x) = γ(a, x) / Γ(a), the regularized lower incomplete gamma.
+
+    Power series below ``x = a + 1``, Lentz's continued fraction for the
+    complement above it — each converges quickly on its side.
+    """
+    if x <= 0.0:
+        return 0.0
+    log_prefix = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while abs(term) > abs(total) * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        return total * math.exp(log_prefix)
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return 1.0 - math.exp(log_prefix) * h
+
+
+def _gamma_quantile(a: float, p: float) -> float:
+    """The x with P(a, x) = p, by bisection (P is increasing in x).
+
+    Each step first tries a Newton step on the gamma density and falls
+    back to the bracket's midpoint when that step leaves the bracket, so
+    the bracket always holds the root and the smooth case converges in a
+    handful of evaluations.
+    """
+    lo, hi = 0.0, max(1.0, a)
+    while _regularized_gamma_p(a, hi) < p:
+        lo, hi = hi, 2.0 * hi
+    x = 0.5 * (lo + hi)
+    if lo == 0.0:
+        # deep in the lower tail P(a, x) ~ x**a / Γ(a + 1): start there, so
+        # tiny counts do not bisect down through hundreds of binades
+        log_start = (math.log(p) + math.lgamma(a + 1.0)) / a
+        if log_start < math.log(x):
+            x = math.exp(log_start)
+            if x == 0.0:
+                return 0.0  # the root lies below the smallest float
+    log_norm = math.lgamma(a)
+    for _ in range(200):
+        excess = _regularized_gamma_p(a, x) - p
+        if excess < 0.0:
+            lo = x
+        else:
+            hi = x
+        # capped: for a < 1 the density diverges at 0, and a smaller
+        # density only lengthens the step the bracket then clips
+        density = math.exp(min((a - 1.0) * math.log(x) - x - log_norm, 700.0))
+        step = x - excess / density if density > 0.0 else lo
+        nxt = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(nxt - x) <= 1e-15 * nxt or hi - lo <= 1e-15 * hi:
+            return nxt
+        x = nxt
+    return x
 
 
 def wilson_ci(successes: int, trials: int, confidence: float = 0.95) -> Tuple[float, float]:
@@ -59,15 +124,8 @@ def wilson_ci(successes: int, trials: int, confidence: float = 0.95) -> Tuple[fl
 
 
 def _z_value(confidence: float) -> float:
-    """Two-sided standard-normal quantile for common confidence levels."""
-    table = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
-    if confidence in table:
-        return table[confidence]
-    if _HAVE_SCIPY:  # pragma: no cover - uncommon path
-        from scipy.stats import norm
-
-        return float(norm.ppf(1.0 - (1.0 - confidence) / 2.0))
-    raise ValueError(f"unsupported confidence level {confidence} without scipy")
+    """Two-sided standard-normal quantile for ``confidence``."""
+    return NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
 
 
 def ratio(measured: float, predicted: float) -> float:

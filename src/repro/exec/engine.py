@@ -473,7 +473,13 @@ class LeaseExecutor:
       results in sequence order as chunks become terminal, counts worker
       deaths (``service.workers.died``), and — if every child dies with
       work remaining — drains the remainder itself, so a campaign always
-      completes as long as *some* process survives.
+      completes as long as *some* process survives.  Supervision is
+      event-driven: the parent wakes when a child exits (or at the latest
+      after ``poll_interval``), and a shared ``done`` event — set by the
+      first child whose drain finishes and by the parent once its scan
+      finds every chunk terminal — cuts short every idle child's wait.
+      When the store already holds every chunk terminal (a warm rerun,
+      a finished resume), nothing is forked at all.
 
     The chunk partition is always the **serial** partition
     (:func:`default_chunksize` with ``workers=1``) regardless of the
@@ -671,9 +677,12 @@ class LeaseExecutor:
         The parent is the supervisor: it reaps dead children (a non-zero /
         signalled exit counts ``service.workers.died``), and if the whole
         fleet dies with chunks outstanding it becomes the worker of last
-        resort and drains the remainder in-process.
+        resort and drains the remainder in-process.  Between scans it
+        blocks on the unreaped children's sentinels, so a child's exit
+        wakes it at once; ``poll_interval`` only bounds the wait.
         """
         import multiprocessing
+        from multiprocessing.connection import wait as wait_any
 
         from repro.service.liveness import default_worker_id
         from repro.service.registry import CampaignRegistry
@@ -682,6 +691,19 @@ class LeaseExecutor:
 
         telemetry = get_telemetry()
         store = policy.store
+
+        def fresh_terminal(fingerprint: str) -> bool:
+            record = store.backend.get(fingerprint)
+            if record is None:
+                return False
+            if stale_before is not None and record.created < stale_before:
+                return False
+            return record.status in (DONE, QUARANTINED)
+
+        store.refresh()
+        deliver_ready()
+        if all(fresh_terminal(fp) for fp in fingerprints):
+            return False  # nothing pending: fork nothing
         backend_name = "jsonl" if isinstance(store.backend, JsonlBackend) else "sqlite"
         policy_spec = {
             "retries": policy.retries,
@@ -689,6 +711,9 @@ class LeaseExecutor:
             "on_crash": policy.on_crash,
         }
         base_id = default_worker_id()
+        #: set once every chunk is terminal (or the campaign is cancelled):
+        #: idle children wait on it instead of sleeping a full poll interval
+        done = multiprocessing.Event()
         procs = []
         for index in range(self.workers):
             chaos = (
@@ -710,6 +735,7 @@ class LeaseExecutor:
                         self.campaign,
                         chaos,
                         stale_before,
+                        done,
                     ),
                     daemon=True,
                 )
@@ -719,20 +745,12 @@ class LeaseExecutor:
         registry = CampaignRegistry(store)
         reaped = set()
         cancelled = False
-
-        def fresh_terminal(fingerprint: str) -> bool:
-            record = store.backend.get(fingerprint)
-            if record is None:
-                return False
-            if stale_before is not None and record.created < stale_before:
-                return False
-            return record.status in (DONE, QUARANTINED)
-
         try:
             while True:
                 store.refresh()
                 deliver_ready()
                 if all(fresh_terminal(fp) for fp in fingerprints):
+                    done.set()
                     break
                 if self.campaign and registry.cancelled(self.campaign):
                     cancelled = True
@@ -763,7 +781,11 @@ class LeaseExecutor:
                         fn, context, chunks, fingerprints
                     ).cancelled
                     continue
-                time.sleep(service.poll_interval)
+                wait_any(
+                    [proc.sentinel for index, proc in enumerate(procs)
+                     if index not in reaped],
+                    timeout=service.poll_interval,
+                )
         finally:
             for proc in procs:
                 if proc.is_alive():

@@ -127,10 +127,9 @@ class BeamEvalContext:
     catalog_tag: str               # distinguishes non-default catalogs
     workload: WorkloadHandle
     on_crash: str = "due"
-    #: checkpoint/replay + batching knobs (cache key only; see CampaignContext)
+    #: checkpoint/replay knobs (cache key only; see CampaignContext)
     replay: bool = True
     snapshots_per_run: int = 16
-    batch_eval: bool = True
 
     def cache_key(self) -> tuple:
         return (
@@ -143,7 +142,6 @@ class BeamEvalContext:
             self.on_crash,
             self.replay,
             self.snapshots_per_run,
-            self.batch_eval,
         )
 
 

@@ -136,7 +136,6 @@ def _beam_state(ctx: BeamEvalContext):
             on_crash=ctx.on_crash,
             replay=ctx.replay,
             snapshots_per_run=ctx.snapshots_per_run,
-            batch_eval=ctx.batch_eval,
         )
         engine.golden  # materialize before any capture window
         return engine

@@ -53,16 +53,12 @@ class CarolFi:
         on_crash: str = "due",
         replay: Optional[bool] = None,
         snapshots_per_run: int = 16,
-        batch_eval: Optional[bool] = None,
     ) -> None:
         self.device = device
         self.rngs = resolve_rngs(rngs, seed, "CarolFi")
         self.sandbox = InjectionSandbox(on_crash)
         self.replay_enabled = True if replay is None else bool(replay)
         self.snapshots_per_run = snapshots_per_run
-        #: accepted for policy-threading symmetry: variable-level strikes
-        #: perturb whole buffers, outside the batched evaluator's population
-        self.batch_eval = True if batch_eval is None else bool(batch_eval)
         self._golden: Dict[str, KernelRun] = {}
         self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
 

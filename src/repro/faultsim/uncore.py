@@ -109,7 +109,6 @@ class UncoreInjector:
         table: Optional[UncoreFitTable] = None,
         replay: Optional[bool] = None,
         snapshots_per_run: int = 16,
-        batch_eval: Optional[bool] = None,
     ) -> None:
         self.device = device
         self.rngs = resolve_rngs(rngs, seed, "UncoreInjector")
@@ -118,9 +117,6 @@ class UncoreInjector:
         self.sandbox = InjectionSandbox(on_crash)
         self.replay_enabled = True if replay is None else bool(replay)
         self.snapshots_per_run = snapshots_per_run
-        #: accepted for policy-threading symmetry: uncore faults are DUE /
-        #: mechanistic-replay events, outside the batched evaluator's scope
-        self.batch_eval = True if batch_eval is None else bool(batch_eval)
         self._golden: Dict[str, KernelRun] = {}
         self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
 

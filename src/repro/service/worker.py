@@ -21,8 +21,11 @@ executes the identical loop against the shared store:
    (at-least-once execution makes that legal), byte-verify that both
    evaluations produced identical payloads and drop ours — *first commit
    wins*; a mismatch is a determinism violation and raises;
-6. release the lease, repeat; sleep one poll interval when a scan finds
-   work but can claim none of it (all leased by live peers).
+6. release the lease, repeat; wait up to one poll interval when a scan
+   finds work but can claim none of it (all leased by live peers).  A
+   forked child waits on the supervisor's shared ``done`` event rather
+   than sleeping, so it wakes the moment any process sees the whole
+   chunk list settled.
 
 The loop ends when a scan finds every chunk terminal.  Worker deaths need
 no special handling here: a killed worker simply stops heartbeating, its
@@ -281,7 +284,8 @@ def service_child_main(
     worker_id: str,
     campaign: Optional[str],
     chaos_kill_after: Optional[int],
-    stale_before: Optional[float] = None,
+    stale_before: Optional[float],
+    done: Any,
 ) -> None:
     """Entry point of a forked service worker process.
 
@@ -291,6 +295,11 @@ def service_child_main(
     committed snapshots instead), then opens its own store handle and
     drains.  Exit code 0 covers both "drained" and "cancelled"; anything
     else is a worker failure the supervising parent counts as a death.
+
+    ``done`` is the fleet's shared ``multiprocessing.Event``: idle waits
+    block on it (so they end as soon as it is set), and a drain that
+    returns normally sets it.  It is never set on an error path — a set
+    event turns every peer's idle wait into an immediate rescan.
     """
     set_telemetry(Telemetry())
     store = open_store(store_path, backend=store_backend)
@@ -307,9 +316,11 @@ def service_child_main(
             service,
             worker_id=worker_id,
             campaign=campaign,
+            sleep=done.wait,
             chaos_kill_after=chaos_kill_after,
             stale_before=stale_before,
         )
         worker.drain(fn, context, chunks, fingerprints)
+        done.set()
     finally:
         store.close()

@@ -62,8 +62,9 @@ class ServicePolicy:
     * ``victim_threshold`` — a chunk whose lease expired under this many
       *distinct dead* workers escalates straight to quarantine (it is
       killing workers, not merely unlucky),
-    * ``poll_interval`` — how long an idle worker sleeps between scans for
-      reclaimable work.
+    * ``poll_interval`` — the longest an idle worker waits between scans
+      for reclaimable work (forked workers and their supervisor wake
+      earlier, on a child's exit or when the whole chunk list settles).
     """
 
     lease_ttl: float = 30.0

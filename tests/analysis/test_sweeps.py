@@ -1,5 +1,7 @@
 """Analysis utilities: seed sweeps, beam-mode agreement, rank correlation."""
 
+import math
+
 import pytest
 
 from repro.analysis import (
@@ -64,6 +66,16 @@ class TestRankCorrelation:
 
     def test_reversed_order(self):
         assert rank_correlation([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
+
+    def test_ties_share_their_average_rank(self):
+        # ranks [1, 2.5, 2.5, 4] vs [1, 3, 2, 4]: rho = 3 / sqrt(10)
+        rho = rank_correlation([1, 2, 2, 3], [1, 3, 2, 4])
+        assert rho == pytest.approx(3.0 / math.sqrt(10.0), rel=1e-12)
+
+    def test_ties_on_both_sides(self):
+        # scipy.stats.spearmanr([1, 1, 2, 3, 3], [2, 1, 1, 4, 5])
+        rho = rank_correlation([1, 1, 2, 3, 3], [2, 1, 1, 4, 5])
+        assert rho == pytest.approx(0.7299963950884315, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):

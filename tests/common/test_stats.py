@@ -1,6 +1,10 @@
 """Statistics: Poisson/Wilson intervals, ratio conventions, estimates."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +32,30 @@ class TestPoissonCi:
         assert lo == pytest.approx(4.795, rel=1e-3)
         assert hi == pytest.approx(18.39, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "count, lower, upper",
+        [
+            # exact Garwood bounds: chi2.ppf(0.025, 2n)/2, chi2.ppf(0.975, 2n+2)/2
+            (0, 0.0, 3.688879454113936),
+            (1, 0.02531780798428990, 5.571643390938898),
+            (2, 0.2422092785439651, 7.224687667723960),
+            (5, 1.623486390118421, 11.66833207932267),
+            (10, 4.795388696132434, 18.39035604201778),
+            (100, 81.36399125092315, 121.6267937924264),
+            (2.5, 0.4156058067433315, 8.006382137314663),  # thinned beam count
+        ],
+    )
+    def test_garwood_bounds_tabulated(self, count, lower, upper):
+        lo, hi = poisson_ci(count)
+        assert lo == pytest.approx(lower, rel=1e-9, abs=0.0)
+        assert hi == pytest.approx(upper, rel=1e-9)
+
+    def test_other_confidence_levels(self):
+        # chi2.ppf(0.005, 20)/2 and chi2.ppf(0.995, 22)/2
+        lo, hi = poisson_ci(10, confidence=0.99)
+        assert lo == pytest.approx(3.716922131467118, rel=1e-9)
+        assert hi == pytest.approx(21.39782749965427, rel=1e-9)
+
     def test_interval_contains_count(self):
         for count in (1, 5, 50, 500):
             lo, hi = poisson_ci(count)
@@ -46,6 +74,24 @@ class TestPoissonCi:
         lo, hi = poisson_ci(count)
         assert (hi - lo) / count < 6.0  # worst case at count=1: ~5.5
         assert lo >= 0.0
+
+
+class TestNoOptionalDependencies:
+    def test_import_repro_does_not_load_scipy(self):
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestWilsonCi:
@@ -71,6 +117,12 @@ class TestWilsonCi:
             s = n
         lo, hi = wilson_ci(s, n)
         assert 0.0 <= lo <= hi <= 1.0
+
+    def test_known_value(self):
+        # Wilson 95% interval for 30/100 with z = NormalDist().inv_cdf(0.975)
+        lo, hi = wilson_ci(30, 100)
+        assert lo == pytest.approx(0.2189489, rel=1e-6)
+        assert hi == pytest.approx(0.3958485, rel=1e-6)
 
     def test_paper_campaign_sizing(self):
         """10,000 injections keep the 95% interval below 5% half-width for

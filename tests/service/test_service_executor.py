@@ -2,6 +2,7 @@
 campaign — any worker count, either backend, cancelled and resumed,
 clean or continue — commits a store bit-identical to a serial run's."""
 
+import multiprocessing
 import time
 
 import pytest
@@ -29,7 +30,8 @@ def _signature(result):
     ]
 
 
-def _run(path, backend, executor=None, refresh=False, on_result=None):
+def _run(path, backend, executor=None, refresh=False, on_result=None,
+         service=SERVICE):
     store = open_store(path, backend=backend)
     try:
         runner = CampaignRunner(
@@ -37,7 +39,7 @@ def _run(path, backend, executor=None, refresh=False, on_result=None):
             as_framework("nvbitfi"),
             seed=1,
             executor=executor,
-            policy=ExecutionPolicy(store=store, refresh=refresh, service=SERVICE),
+            policy=ExecutionPolicy(store=store, refresh=refresh, service=service),
         )
         return runner.run(get_workload("kepler", "FMXM", seed=1), INJECTIONS, on_result)
     finally:
@@ -80,6 +82,40 @@ class TestResume:
         # DAVOS clean semantics: same answer, recomputed from scratch
         assert _signature(second) == _signature(first)
         assert counters["service.chunks.executed"] == 4
+
+
+class TestEventDrivenSupervision:
+    def test_warm_rerun_over_a_complete_store_forks_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "warm.sqlite"
+        cold = _run(path, "sqlite", executor=LeaseExecutor(workers=2))
+
+        def no_fork(process):
+            raise AssertionError("a warm rerun must not start a worker process")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", no_fork)
+        warm = _run(path, "sqlite", executor=LeaseExecutor(workers=2))
+        assert _signature(warm) == _signature(cold)
+
+    def test_supervisor_and_idle_children_do_not_wait_out_the_poll_interval(
+        self, tmp_path
+    ):
+        # every idle wait is bounded by a 5 s poll interval; a supervisor or
+        # child that slept it instead of reacting to child exit / the done
+        # event would push the run past it
+        slow_poll = ServicePolicy(
+            lease_ttl=10.0, heartbeat_interval=0.2, poll_interval=5.0
+        )
+        serial = _run(tmp_path / "serial.sqlite", "sqlite", service=slow_poll)
+        started = time.monotonic()
+        leased = _run(
+            tmp_path / "lease.sqlite", "sqlite",
+            executor=LeaseExecutor(workers=2), service=slow_poll,
+        )
+        elapsed = time.monotonic() - started
+        assert _signature(leased) == _signature(serial)
+        assert elapsed < 2.5
 
 
 class TestCancellation:
